@@ -117,6 +117,11 @@ branchlessOpsMatchOperators()
                 return false;
             if (Fp::mulBranchless(a, b) != a * b)
                 return false;
+            // Both products share reduce128; pin it to the % oracle.
+            const auto prod =
+                static_cast<unsigned __int128>(a.value()) * b.value();
+            if ((a * b).value() != prod % Fp::modulus)
+                return false;
         }
     }
     return true;
@@ -135,6 +140,10 @@ static_assert(Fp::reduce128(
                   static_cast<unsigned __int128>(Fp::modulus) *
                   Fp::modulus) == 0,
               "reduce128(p^2) != 0");
+static_assert(Fp::reduce128(~static_cast<unsigned __int128>(0)) ==
+                  static_cast<uint64_t>(~static_cast<unsigned __int128>(0) %
+                                        Fp::modulus),
+              "reduce128(2^128 - 1) is wrong");
 
 } // namespace selfcheck
 } // namespace unizk

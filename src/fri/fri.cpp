@@ -1,7 +1,12 @@
 #include "fri/fri.h"
 
+#include <algorithm>
+#include <array>
+#include <limits>
+
 #include "common/bits.h"
 #include "common/thread_pool.h"
+#include "hash/poseidon.h"
 #include "ntt/ntt.h"
 #include "obs/obs.h"
 
@@ -18,6 +23,13 @@ powValid(Fp challenge, uint64_t nonce, uint32_t bits)
     const HashOut h = hashNoPad({challenge, Fp(nonce)});
     return fpHighBits(h.elems[0], bits) == 0;
 }
+
+/** log2 of the nonces one grind chunk runs through permuteBatch. */
+constexpr uint32_t kGrindChunkBits = 6;
+constexpr uint64_t kGrindChunk = uint64_t{1} << kGrindChunkBits;
+
+/** log2 of the largest grind block (64 chunks, one pool region). */
+constexpr uint32_t kGrindMaxBlockBits = 12;
 
 /**
  * Points of the (bit-reversed-stored) evaluation domain: out[i] is the
@@ -123,6 +135,52 @@ combinedOpenings(const std::vector<std::vector<Fp2>> &openings,
 }
 
 } // namespace
+
+uint64_t
+friGrind(Fp challenge, uint32_t bits)
+{
+    if (bits == 0)
+        return 0;
+    // A block covers about one expected search (2^bits nonces), at
+    // least one chunk and at most 64. It bounds the overshoot past the
+    // answer without changing the answer, which is the smallest valid
+    // nonce whatever the block and thread count.
+    const uint64_t block =
+        uint64_t{1} << std::clamp(bits, kGrindChunkBits, kGrindMaxBlockBits);
+    const size_t chunks = block / kGrindChunk;
+    constexpr uint64_t kNoHit = std::numeric_limits<uint64_t>::max();
+    std::array<uint64_t, (uint64_t{1} << kGrindMaxBlockBits) / kGrindChunk>
+        first_hit;
+    const Poseidon &poseidon = Poseidon::instance();
+    for (uint64_t base = 0;; base += block) {
+        first_hit.fill(kNoHit);
+        parallelFor(0, chunks, /*grain=*/1, [&](size_t lo, size_t hi) {
+            for (size_t c = lo; c < hi; ++c) {
+                // The states hashNoPad({challenge, nonce}) permutes.
+                const uint64_t first = base + c * kGrindChunk;
+                std::array<PoseidonState, kGrindChunk> states{};
+                for (uint64_t k = 0; k < kGrindChunk; ++k) {
+                    states[k][0] = challenge;
+                    states[k][1] = Fp(first + k);
+                }
+                poseidon.permuteBatch(states.data(), kGrindChunk);
+                for (uint64_t k = 0; k < kGrindChunk; ++k) {
+                    if (fpHighBits(states[k][0], bits) == 0) {
+                        first_hit[c] = first + k;
+                        break;
+                    }
+                }
+            }
+        });
+        const uint64_t nonce =
+            *std::min_element(first_hit.begin(), first_hit.begin() + chunks);
+        if (nonce != kNoHit) {
+            unizk_assert(powValid(challenge, nonce, bits),
+                         "friGrind: batched hit fails the scalar check");
+            return nonce;
+        }
+    }
+}
 
 size_t
 FriProof::byteSize() const
@@ -282,10 +340,8 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
     {
         ScopedKernelTimer timer(ctx.breakdown, KernelClass::OtherHash);
         UNIZK_SPAN("fri/pow");
-        const Fp pow_challenge = challenger.challenge();
-        uint64_t nonce = 0;
-        while (!powValid(pow_challenge, nonce, cfg.powBits))
-            ++nonce;
+        const uint64_t nonce =
+            friGrind(challenger.challenge(), cfg.powBits);
         proof.powNonce = nonce;
         UNIZK_COUNTER_ADD("fri.pow_iterations", nonce + 1);
         ctx.record(HashKernel{nonce + 1}, "FRI: proof-of-work");

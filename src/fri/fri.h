@@ -74,6 +74,17 @@ FriProof friProve(const std::vector<const PolynomialBatch *> &batches,
                   Challenger &challenger, const FriConfig &cfg,
                   const ProverContext &ctx);
 
+/**
+ * Proof-of-work grind: the smallest nonce whose hashNoPad({challenge,
+ * nonce}) digest has @p bits leading zero bits (0 when @p bits is 0).
+ * Nonces are searched in blocks, in order; each block is one pool
+ * region of 64-nonce chunks hashed through Poseidon::permuteBatch, so
+ * the nonce is the same at every thread count and SIMD level. The
+ * work past the answer, at most one block (<= 4096 permutations), is
+ * not part of the logical nonce + 1 count.
+ */
+uint64_t friGrind(Fp challenge, uint32_t bits);
+
 /** Verifier-side view of one committed batch. */
 struct FriBatchInfo
 {

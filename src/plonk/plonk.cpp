@@ -272,33 +272,37 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
     std::vector<Fp> combined(big, Fp::zero());
     {
         UNIZK_SPAN("plonk/quotient");
-        ScopedKernelTimer ntt_timer(ctx.breakdown, KernelClass::Ntt);
-        // LDEs of everything we need, natural order. All 8 + 4*reps
-        // source polynomials are independent: gather them into one
-        // batch so the engine picks the parallel axis and builds the
-        // twiddle table once.
-        const size_t num_ldes = 8 + 4 * reps;
-        std::vector<std::vector<Fp>> batch(num_ldes);
-        for (size_t t = 0; t < 5; ++t)
-            batch[t] = key.constants->coefficients(t);
-        for (size_t t = 5; t < 8; ++t)
-            batch[t] = key.constants->coefficients(t);
-        for (size_t t = 0; t < 3 * reps; ++t)
-            batch[8 + t] = wires.coefficients(t);
-        for (size_t t = 0; t < reps; ++t)
-            batch[8 + 3 * reps + t] = z_batch.coefficients(t);
-        auto ldes = ldeBatchNN(std::move(batch),
-                               uint32_t{1} << quotient_blowup_bits, shift);
         std::vector<std::vector<Fp>> sel_lde(5), sig_lde(3);
         std::vector<std::vector<Fp>> wire_lde(3 * reps), z_lde(reps);
-        for (size_t t = 0; t < 5; ++t)
-            sel_lde[t] = std::move(ldes[t]);
-        for (size_t t = 0; t < 3; ++t)
-            sig_lde[t] = std::move(ldes[5 + t]);
-        for (size_t t = 0; t < 3 * reps; ++t)
-            wire_lde[t] = std::move(ldes[8 + t]);
-        for (size_t t = 0; t < reps; ++t)
-            z_lde[t] = std::move(ldes[8 + 3 * reps + t]);
+        {
+            // Scoped so the NTT class stops before Polynomial starts.
+            ScopedKernelTimer ntt_timer(ctx.breakdown, KernelClass::Ntt);
+            // LDEs of everything we need, natural order. All 8 + 4*reps
+            // source polynomials are independent: gather them into one
+            // batch so the engine picks the parallel axis and builds the
+            // twiddle table once.
+            const size_t num_ldes = 8 + 4 * reps;
+            std::vector<std::vector<Fp>> batch(num_ldes);
+            for (size_t t = 0; t < 5; ++t)
+                batch[t] = key.constants->coefficients(t);
+            for (size_t t = 5; t < 8; ++t)
+                batch[t] = key.constants->coefficients(t);
+            for (size_t t = 0; t < 3 * reps; ++t)
+                batch[8 + t] = wires.coefficients(t);
+            for (size_t t = 0; t < reps; ++t)
+                batch[8 + 3 * reps + t] = z_batch.coefficients(t);
+            auto ldes = ldeBatchNN(std::move(batch),
+                                   uint32_t{1} << quotient_blowup_bits,
+                                   shift);
+            for (size_t t = 0; t < 5; ++t)
+                sel_lde[t] = std::move(ldes[t]);
+            for (size_t t = 0; t < 3; ++t)
+                sig_lde[t] = std::move(ldes[5 + t]);
+            for (size_t t = 0; t < 3 * reps; ++t)
+                wire_lde[t] = std::move(ldes[8 + t]);
+            for (size_t t = 0; t < reps; ++t)
+                z_lde[t] = std::move(ldes[8 + 3 * reps + t]);
+        }
         ctx.record(NttKernel{log2Exact(big),
                              8 + 4 * reps, false, true, false,
                              PolyLayout::PolyMajor},

@@ -10,7 +10,8 @@
  * admitted jobs finish, in-flight responses are written, the socket is
  * unlinked, and (when --stats-json is given and at least one proof
  * completed) a unizk-stats-v2 document with per-request latency and
- * queue-depth histograms is written before exiting 0.
+ * queue-depth histograms is written before exiting 0. Per-request run
+ * stats (at most --max-runs of them) are kept only for that document.
  *
  * With --stats-interval S the main thread rotates the stats window
  * every S seconds and appends one unizk-stats-v3 record per rotation
@@ -110,8 +111,11 @@ main(int argc, char **argv)
     cfg.queueCapacity = cli.getUint("queue-capacity", 16);
     cfg.proverLanes =
         static_cast<unsigned>(cli.getUint("lanes", 2));
-    cfg.maxStoredRuns = cli.getUint("max-runs", 1024);
     const std::string stats_path = cli.getString("stats-json", "");
+    // Per-request RunStats feed only the --stats-json document; without
+    // it, keeping them would grow the daemon by ~27 kB per request.
+    cfg.maxStoredRuns =
+        stats_path.empty() ? 0 : cli.getUint("max-runs", 1024);
     const double stats_interval =
         cli.getDouble("stats-interval", 0.0);
 

@@ -143,13 +143,16 @@ starkProve(const StarkAir &air,
     std::vector<Fp> combined(big, Fp::zero());
     {
         UNIZK_SPAN("stark/quotient");
-        ScopedKernelTimer ntt_timer(ctx.breakdown, KernelClass::Ntt);
-        std::vector<std::vector<Fp>> trace_coeffs(cols);
-        for (size_t c = 0; c < cols; ++c)
-            trace_coeffs[c] = trace.coefficients(c);
-        const auto lde =
-            ldeBatchNN(std::move(trace_coeffs),
-                       uint32_t{1} << q_blowup_bits, shift);
+        std::vector<std::vector<Fp>> lde;
+        {
+            // Scoped so the NTT class stops before Polynomial starts.
+            ScopedKernelTimer ntt_timer(ctx.breakdown, KernelClass::Ntt);
+            std::vector<std::vector<Fp>> trace_coeffs(cols);
+            for (size_t c = 0; c < cols; ++c)
+                trace_coeffs[c] = trace.coefficients(c);
+            lde = ldeBatchNN(std::move(trace_coeffs),
+                             uint32_t{1} << q_blowup_bits, shift);
+        }
         ctx.record(NttKernel{log2Exact(big), cols, false, true, false,
                              PolyLayout::PolyMajor},
                    "quotient: trace coset LDEs");

@@ -51,6 +51,49 @@ TEST(Goldilocks, MulKnownValues)
     EXPECT_EQ(two64 * two32, Fp(Fp::modulus - 1));
 }
 
+TEST(Goldilocks, Reduce128CarryEdgeCases)
+{
+    using u128 = unsigned __int128;
+    const uint64_t all_ones = ~uint64_t{0};
+    const u128 p_minus_1 = Fp::modulus - 1;
+    struct Case
+    {
+        const char *name;
+        u128 x;
+        bool borrow; // lo < top
+        bool wrap;   // res < t1
+        bool over;   // res >= p
+    };
+    const Case cases[] = {
+        {"lo < top", (u128{5} << 96) | 3, true, false, false},
+        {"res < t1 wrap", (u128{0xFFFFFFFF} << 64) | all_ones, false,
+         true, false},
+        {"res >= p", all_ones, false, false, true},
+        {"(p-1)^2", p_minus_1 * p_minus_1, true, false, true},
+        {"2^128-1", ~u128{0}, false, true, false},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        // Recompute reduce128's three conditions so each case is known
+        // to take the adjustment it is named after.
+        const uint64_t lo = static_cast<uint64_t>(c.x);
+        const uint64_t hi = static_cast<uint64_t>(c.x >> 64);
+        const uint64_t top = hi >> 32;
+        const uint64_t t0 = lo - top - (lo < top ? 0xFFFFFFFFULL : 0);
+        const uint64_t t1 = (hi & 0xFFFFFFFFULL) * 0xFFFFFFFFULL;
+        uint64_t res = t0 + t1;
+        const bool wrap = res < t1;
+        res += wrap ? 0xFFFFFFFFULL : 0;
+        EXPECT_EQ(lo < top, c.borrow);
+        EXPECT_EQ(wrap, c.wrap);
+        EXPECT_EQ(res >= Fp::modulus, c.over);
+        EXPECT_EQ(Fp::reduce128(c.x),
+                  static_cast<uint64_t>(c.x % Fp::modulus));
+    }
+    const Fp max(Fp::modulus - 1);
+    EXPECT_EQ(Fp::mulBranchless(max, max), max * max);
+}
+
 TEST(Goldilocks, FieldAxiomsRandomized)
 {
     SplitMix64 rng(123);

@@ -2,13 +2,19 @@
  * @file
  * Tests for the FRI polynomial commitment: commitment construction,
  * honest prove/verify round trips across configurations, and soundness
- * checks (tampered openings, wrong points, corrupted proofs must fail).
+ * checks (tampered openings, wrong points, corrupted proofs must fail),
+ * and the batched proof-of-work grind against a sequential reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "fri/fri.h"
+#include "hash/goldilocks_simd.h"
+#include "obs/obs.h"
 
 namespace unizk {
 namespace {
@@ -36,10 +42,12 @@ struct FriFixture
     std::vector<std::vector<Fp2>> openings;
     FriProof proof;
 
-    FriFixture(size_t n, size_t polys_a, size_t polys_b, FriConfig config)
+    FriFixture(size_t n, size_t polys_a, size_t polys_b, FriConfig config,
+               TraceRecorder *recorder = nullptr)
         : cfg(config)
     {
         ProverContext ctx;
+        ctx.recorder = recorder;
         batch_a = std::make_unique<PolynomialBatch>(
             PolynomialBatch::fromValues(randomValues(polys_a, n, 1), cfg,
                                         ctx, "a"));
@@ -246,6 +254,105 @@ TEST(Fri, ProofSizeIsPositiveAndGrowsWithQueries)
     FriFixture b(64, 3, 2, many);
     EXPECT_GT(a.proof.byteSize(), 0u);
     EXPECT_GT(b.proof.byteSize(), a.proof.byteSize());
+}
+
+/**
+ * The verifier's rule, one nonce at a time: the first nonce below
+ * @p limit whose digest has @p bits leading zero bits, else @p limit.
+ */
+uint64_t
+sequentialGrind(Fp challenge, uint32_t bits,
+                uint64_t limit = ~uint64_t{0})
+{
+    if (bits == 0)
+        return 0;
+    uint64_t nonce = 0;
+    while (nonce < limit &&
+           fpHighBits(hashNoPad({challenge, Fp(nonce)}).elems[0], bits) != 0)
+        ++nonce;
+    return nonce;
+}
+
+TEST(Fri, GrindMatchesSequentialReference)
+{
+    struct Probe
+    {
+        Fp challenge;
+        uint32_t bits;
+        uint64_t nonce;
+    };
+    std::vector<Probe> probes;
+    SplitMix64 rng(12);
+    for (int i = 0; i < 32; ++i) {
+        const Fp challenge = randomFp(rng);
+        for (uint32_t bits : {0u, 1u, 4u, 8u, 12u})
+            probes.push_back({challenge, bits, sequentialGrind(challenge,
+                                                               bits)});
+    }
+    // Seeded searches for 8-bit answers at the edges of the search
+    // layout (64-nonce chunks, 256-nonce blocks at 8 bits): nonce 0,
+    // the last nonce of the first chunk and the first of the second,
+    // the first nonce of the second block, and the first nonce of the
+    // second block's second chunk.
+    for (const auto &[lo, hi] : {std::pair<uint64_t, uint64_t>{0, 1},
+                                 {63, 64},
+                                 {64, 65},
+                                 {256, 258},
+                                 {320, 322}}) {
+        for (;;) {
+            const Fp challenge = randomFp(rng);
+            const uint64_t nonce = sequentialGrind(challenge, 8, hi);
+            if (nonce >= lo && nonce < hi) {
+                probes.push_back({challenge, 8, nonce});
+                break;
+            }
+        }
+    }
+
+    const unsigned prev_threads = globalThreadCount();
+    const SimdLevel prev_level = activeSimdLevel();
+    for (SimdLevel level : {SimdLevel::Scalar, SimdLevel::Avx2}) {
+        if (!setSimdLevel(level))
+            continue; // not available on this build or CPU
+        for (unsigned threads : {1u, 2u, 8u}) {
+            setGlobalThreadCount(threads);
+            for (const Probe &p : probes) {
+                EXPECT_EQ(friGrind(p.challenge, p.bits), p.nonce)
+                    << simdLevelName(level) << " threads=" << threads
+                    << " bits=" << p.bits
+                    << " challenge=" << p.challenge;
+            }
+        }
+    }
+    setGlobalThreadCount(prev_threads);
+    ASSERT_TRUE(setSimdLevel(prev_level));
+}
+
+TEST(Fri, PowCountsAreNoncePlusOne)
+{
+    FriConfig cfg = FriConfig::testing();
+    cfg.powBits = 8;
+    const bool was_enabled = obs::enabled();
+    obs::setEnabled(true);
+    obs::resetAll();
+    TraceRecorder recorder;
+    FriFixture f(64, 3, 2, cfg, &recorder);
+    [[maybe_unused]] const auto counters = obs::counterSnapshot();
+    obs::setEnabled(was_enabled);
+
+    // The logical count: the overshoot past the nonce is not counted.
+    uint64_t pow_permutations = 0;
+    for (const KernelOp &op : recorder.trace().ops) {
+        const auto *hash = std::get_if<HashKernel>(&op.payload);
+        if (hash && op.label == "FRI: proof-of-work")
+            pow_permutations += hash->permutations;
+    }
+    EXPECT_EQ(pow_permutations, f.proof.powNonce + 1);
+#if !defined(UNIZK_OBS_DISABLE)
+    ASSERT_EQ(counters.count("fri.pow_iterations"), 1u);
+    EXPECT_EQ(counters.at("fri.pow_iterations"), f.proof.powNonce + 1);
+#endif
+    EXPECT_TRUE(f.verify(f.openings, f.proof));
 }
 
 TEST(Fri, ConfigSecurityAccounting)

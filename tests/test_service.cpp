@@ -841,6 +841,30 @@ TEST(Service, ProofMatchesDirectPipeline)
     EXPECT_EQ(svc.runStats()[0].protocol, "plonky2");
 }
 
+TEST(Service, ZeroStoredRunsServesWithoutKeepingRunStats)
+{
+    // unizkd's configuration when no --stats-json document is wanted.
+    ServiceConfig cfg;
+    cfg.socketPath = testSocketPath("nostats");
+    cfg.proverLanes = 1;
+    cfg.maxStoredRuns = 0;
+    ProofService svc(cfg);
+    ASSERT_TRUE(svc.start());
+
+    ServiceClient client(cfg.socketPath);
+    ASSERT_TRUE(client.connected());
+    for (int i = 0; i < 2; ++i) {
+        auto resp = client.prove(smallRequest());
+        ASSERT_TRUE(resp.has_value());
+        ASSERT_EQ(resp->tag, Tag::ProveOk);
+        EXPECT_TRUE(resp->prove.verified);
+    }
+
+    svc.stop();
+    EXPECT_EQ(svc.counters().requestsCompleted, 2u);
+    EXPECT_TRUE(svc.runStats().empty());
+}
+
 TEST(Service, ZeroCapacityQueueRejectsWithQueueFull)
 {
     ServiceConfig cfg;

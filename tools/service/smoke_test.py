@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for the unizkd proving service.
 
-Two legs:
+Three legs:
 
   1. Steady state: start unizkd, drive unizk_client through a small
      mixed Plonky2/Starky workload over 4 concurrent connections with
@@ -11,7 +11,11 @@ Two legs:
      histograms carry one service.request_latency_ns sample per
      completed request.
 
-  2. Overload: a second daemon with --queue-capacity 0 rejects every
+  2. No stats: a daemon without --stats-json, which then keeps no
+     per-request run stats (test_service pins that part), still serves
+     checked proofs and drains cleanly on SIGTERM.
+
+  3. Overload: a third daemon with --queue-capacity 0 rejects every
      request with the typed queue-full error (client reports them as
      backpressure, not failures), then shuts down cleanly via the
      protocol Shutdown frame.
@@ -141,6 +145,31 @@ def steady_state_leg(unizkd: str, client: str, workdir: str) -> None:
     print("service_smoke: steady-state leg OK")
 
 
+def no_stats_leg(unizkd: str, client: str, workdir: str) -> None:
+    sock = os.path.join(workdir, "unizkd-nostats.sock")
+    daemon = subprocess.Popen(
+        [unizkd, "--socket", sock, "--lanes", "1", "--threads", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        wait_for_socket(sock, daemon)
+        tally = run_client(
+            client,
+            ["--socket", sock, "--connections", "1", "--requests", "2",
+             "--check", "--threads", "2"],
+        )
+        if tally["ok"] != 2 or tally["errors"] or tally["mismatches"]:
+            raise SystemExit(f"no stats: bad tally {tally}")
+        daemon.send_signal(signal.SIGTERM)
+        stop_daemon(daemon, sock, "SIGTERM")
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+    print("service_smoke: no-stats leg OK")
+
+
 def overload_leg(unizkd: str, client: str, workdir: str) -> None:
     sock = os.path.join(workdir, "unizkd-overload.sock")
     daemon = subprocess.Popen(
@@ -179,6 +208,7 @@ def main(argv) -> int:
     unizkd, client = argv
     with tempfile.TemporaryDirectory() as workdir:
         steady_state_leg(unizkd, client, workdir)
+        no_stats_leg(unizkd, client, workdir)
         overload_leg(unizkd, client, workdir)
     print("service_smoke: OK")
     return 0
